@@ -90,7 +90,7 @@ def test_bench_baseline_regression():
     only reported.  ``REPRO_BENCH_UPDATE=1`` refreshes the baseline
     instead of asserting.
     """
-    result = bench.run(trace_length=20_000, jobs=1)
+    result = bench.run()
     if os.environ.get("REPRO_BENCH_UPDATE") == "1":
         path = bench.write_baseline(result)
         pytest.skip(f"baseline refreshed at {path}")

@@ -58,7 +58,7 @@ machine-readable result JSON to a file (exactly what ``--json`` prints,
 without the surrounding progress text -- CI diffs these);
 ``--trace-cache-bytes N`` bounds the in-process trace cache (also
 ``$REPRO_TRACE_CACHE_BYTES``).  The ``fabric`` subcommand runs the
-coordinator, workers and HTTP front end -- see EXPERIMENTS.md.
+coordinator and workers -- see EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from repro.obs import (
     chrome_trace,
     write_manifest,
 )
-from repro.sched import Sweep
+from repro.sched import Sweep, check_jobs
 from repro.store import DEFAULT_STORE_PATH, ResultStore
 
 #: name -> (runner(trace_length, jobs, obs, sweep, isa) -> result,
@@ -176,9 +176,7 @@ EXPERIMENTS = {
         resilience.format_resilience,
     ),
     "bench": (
-        lambda length, jobs, obs, sweep, isa: bench.run(
-            trace_length=min(length, 40_000), jobs=jobs, progress=True
-        ),
+        lambda length, jobs, obs, sweep, isa: bench.run(progress=True),
         bench.format_bench,
     ),
 }
@@ -352,6 +350,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         isa = get_geometry(args.isa).name
+        check_jobs(args.jobs)
     except _ConfigError as exc:
         parser.error(str(exc))
     if args.no_store and (args.store is not None or args.resume):
@@ -401,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"=== {name} ===", flush=True)
         runner, formatter = EXPERIMENTS[name]
         sweep = None
-        if store is not None and name not in STORE_UNAWARE:
+        if name not in STORE_UNAWARE:
             sweep = Sweep(name, store, resume=args.resume, fabric=args.fabric)
         elif args.fabric is not None:
             print(
@@ -426,10 +425,10 @@ def main(argv: list[str] | None = None) -> int:
                 name, result, args, argv, elapsed, multi, manifest_base,
                 sweep=sweep,
             )
-        if sweep is not None and sweep.reports:
-            print(f"(store: {sweep.report.describe()})", flush=True)
-        elif store is not None and name in STORE_UNAWARE:
+        if store is not None and name in STORE_UNAWARE:
             print(f"(no store support: {name} has no cacheable cells)", flush=True)
+        elif store is not None:
+            print(f"(store: {sweep.report.describe()})", flush=True)
         print(f"({elapsed:.1f}s)\n", flush=True)
     return 0
 
@@ -451,7 +450,7 @@ def _write_observability(
             print(f"(no observability: {name} has no per-cell runs)", flush=True)
         return
     fabric = None
-    if args.fabric is not None and sweep is not None:
+    if args.fabric is not None and name not in STORE_UNAWARE:
         fabric = {
             "coordinator": args.fabric,
             "events": list(getattr(sweep, "fabric_events", ())),

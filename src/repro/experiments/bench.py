@@ -1,10 +1,10 @@
 """Simulator throughput bench: refs/sec now vs the recorded baseline.
 
-``python -m repro.experiments bench`` times the two regimes that matter
-for sweep wall-clock -- the batched fast path on a hit-dominated stream
-(against the scalar loop on the same stream) and an end-to-end
-mini-sweep through :func:`repro.sim.simulator.simulate` -- and compares
-against the committed baseline in ``benchmarks/BENCH_simulator.json``.
+``python -m repro.experiments bench`` times the batched fast path on a
+hit-dominated stream against the scalar loop on the same stream, plus
+the cost of disabled observability hooks, and compares against the
+committed baseline in ``benchmarks/BENCH_simulator.json``.  End-to-end
+sweep wall time is the repo benchmark's job (``benchmarks/e2e``).
 
 Two kinds of numbers come out:
 
@@ -26,9 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.common import format_table
-from repro.experiments.parallel import CellTask, run_cells
 from repro.obs.metrics import MetricsRegistry
-from repro.sim import trace_cache
 from repro.sim.config import parse_config
 from repro.sim.system import build_system, populate_for_addresses
 from repro.workloads.registry import create_workload
@@ -37,18 +35,15 @@ from repro.workloads.registry import create_workload
 #: package is installed outside the repo, in which case no comparison.
 BASELINE_PATH = Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_simulator.json"
 
-#: The end-to-end mini-sweep: one big-memory workload across the config
-#: families (native, virtualized, proposed modes).
-SWEEP_WORKLOAD = "graph500"
-SWEEP_CONFIGS = ("4K", "4K+4K", "2M+2M", "DS", "DD", "4K+VD")
+#: Workload whose footprint backs the engine microbench systems.
+BENCH_WORKLOAD = "graph500"
 
 #: Hot pages tiled into the hit-dominated engine microbench stream.
 HOT_PAGES = 48
 
 #: References per engine-microbench measurement.  The batched path
 #: clears tens of millions of refs/sec, so short streams time in
-#: microseconds and jitter dominates; keep the stream long regardless of
-#: the sweep's trace length.
+#: microseconds and jitter dominates; keep the stream long.
 ENGINE_REFS = 200_000
 
 #: Timed repetitions per engine measurement; best-of filters scheduler
@@ -60,8 +55,6 @@ ENGINE_REPEATS = 3
 class BenchResult:
     """Measured throughput plus the baseline it is compared against."""
 
-    trace_length: int
-    jobs: int
     #: metric name -> measured value (refs/sec, or a ratio).
     metrics: dict[str, float] = field(default_factory=dict)
     #: metric name -> committed baseline value (empty without a file).
@@ -112,7 +105,6 @@ def write_baseline(result: BenchResult, path: Path | None = None) -> Path:
             "CI gates on the *_speedup/*_ratio metrics only: absolute "
             "refs/sec depends on the machine."
         ),
-        "trace_length": result.trace_length,
         "metrics": {k: round(v, 4) for k, v in result.metrics.items()},
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -134,7 +126,7 @@ def _engine_throughputs() -> tuple[float, float]:
     contents untouched (only recency moves), so repeats see identical
     state and simply re-measure the same work.
     """
-    workload = create_workload(SWEEP_WORKLOAD)
+    workload = create_workload(BENCH_WORKLOAD)
     results = []
     for batched in (False, True):
         system = build_system(parse_config("4K+4K"), workload.spec)
@@ -168,7 +160,7 @@ def _obs_disabled_ratio() -> float:
     by ``benchmarks/test_simulator_throughput.py``).  Best-of timing on
     both sides, same stream, same system construction.
     """
-    workload = create_workload(SWEEP_WORKLOAD)
+    workload = create_workload(BENCH_WORKLOAD)
     rates = []
     for attach in (False, True):
         system = build_system(parse_config("4K+4K"), workload.spec)
@@ -189,25 +181,7 @@ def _obs_disabled_ratio() -> float:
     return rates[1] / rates[0] if rates[0] else 0.0
 
 
-def _sweep_throughput(trace_length: int, jobs: int) -> float:
-    """End-to-end simulate() refs/sec over the standard mini-sweep."""
-    tasks = [
-        CellTask(workload=SWEEP_WORKLOAD, config=config, trace_length=trace_length, seed=0)
-        for config in SWEEP_CONFIGS
-    ]
-    trace_cache.clear()  # charge trace generation to the sweep, once
-    start = time.perf_counter()
-    run_cells(tasks, jobs=jobs)
-    elapsed = time.perf_counter() - start
-    total_refs = trace_length * len(tasks)
-    return total_refs / elapsed if elapsed > 0 else float("inf")
-
-
-def run(
-    trace_length: int = 20_000,
-    jobs: int = 1,
-    progress: bool = False,
-) -> BenchResult:
+def run(progress: bool = False) -> BenchResult:
     """Measure all bench metrics and attach the committed baseline."""
     if progress:
         print(
@@ -218,20 +192,12 @@ def run(
     if progress:
         print("  observability hook overhead (disabled registry) ...", flush=True)
     obs_ratio = _obs_disabled_ratio()
-    if progress:
-        print(
-            f"  sweep: {SWEEP_WORKLOAD} x {len(SWEEP_CONFIGS)} configs "
-            f"(jobs={jobs}) ...",
-            flush=True,
-        )
-    sweep_rps = _sweep_throughput(trace_length, jobs)
-    result = BenchResult(trace_length=trace_length, jobs=jobs)
+    result = BenchResult()
     result.metrics = {
         "scalar_hit_refs_per_sec": scalar_rps,
         "batched_hit_refs_per_sec": batched_rps,
         "batched_speedup": batched_rps / scalar_rps if scalar_rps else 0.0,
         "obs_disabled_ratio": obs_ratio,
-        "sweep_refs_per_sec": sweep_rps,
     }
     if os.environ.get("REPRO_BENCH_UPDATE") == "1":
         # Refresh the committed file at its resolved location -- never a
@@ -265,8 +231,6 @@ def write_artifact(
     path = out_dir / "BENCH_throughput.json"
     payload = {
         "kind": "repro.bench.throughput",
-        "trace_length": result.trace_length,
-        "jobs": result.jobs,
         "metrics": {k: round(v, 4) for k, v in result.metrics.items()},
         "baseline": {k: round(v, 4) for k, v in result.baseline.items()},
     }
@@ -290,7 +254,7 @@ def format_bench(result: BenchResult) -> str:
             ]
         )
     title = (
-        f"Simulator throughput bench ({result.trace_length} refs/run, "
-        f"jobs={result.jobs})"
+        f"Simulator throughput bench ({ENGINE_REFS} refs x "
+        f"{ENGINE_REPEATS} repeats)"
     )
     return format_table(headers, rows, title=title)

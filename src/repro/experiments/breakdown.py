@@ -21,8 +21,8 @@ from repro.experiments.common import (
     DEFAULT_TRACE_LENGTH,
     format_table,
     isa_configs,
+    run_grid,
 )
-from repro.experiments.parallel import CellTask, run_cells
 from repro.model.overhead import geometric_mean
 
 DEFAULT_WORKLOADS = ("graph500", "memcached", "gups", "canneal", "streamcluster")
@@ -70,31 +70,23 @@ def run(
     bare = ("4K",) + VIRT_CONFIGS + ("4K+VD", "4K+GD", "DD")
     configs = isa_configs(bare, isa)
     label = dict(zip(bare, configs))
-    tasks = [
-        CellTask(
-            workload=name,
-            config=config,
-            trace_length=trace_length,
-            seed=seed,
-            obs=obs,
-        )
-        for name in workloads
-        for config in configs
-    ]
-    if sweep is not None:
-        results = sweep.run_cells(tasks, jobs=jobs, progress=progress)
-    else:
-        results = run_cells(tasks, jobs=jobs, progress=progress)
-    cells = dict(
-        zip(((t.workload, t.config) for t in tasks), results)
+    grid = run_grid(
+        workloads,
+        configs,
+        trace_length=trace_length,
+        seed=seed,
+        progress=progress,
+        jobs=jobs,
+        obs=obs,
+        sweep=sweep,
     )
     rows = []
     for name in workloads:
-        native = cells[(name, label["4K"])]
-        virt = {cfg: cells[(name, label[cfg])] for cfg in VIRT_CONFIGS}
-        vd = cells[(name, label["4K+VD"])]
-        gd = cells[(name, label["4K+GD"])]
-        dd = cells[(name, label["DD"])]
+        native = grid.get(name, label["4K"])
+        virt = {cfg: grid.get(name, label[cfg]) for cfg in VIRT_CONFIGS}
+        vd = grid.get(name, label["4K+VD"])
+        gd = grid.get(name, label["4K+GD"])
+        dd = grid.get(name, label["DD"])
 
         cn = native.run.cycles_per_walk
         base_l2_misses = virt["4K+4K"].l2_tlb_misses
@@ -117,10 +109,7 @@ def run(
                 ),
             )
         )
-    return BreakdownResult(
-        rows=rows,
-        obs_records=tuple(r.obs for r in results if r.obs is not None),
-    )
+    return BreakdownResult(rows=rows, obs_records=tuple(grid.observability()))
 
 
 def format_breakdown(result: BreakdownResult) -> str:

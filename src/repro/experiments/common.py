@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.experiments.parallel import CellTask, run_cells
+from repro.experiments.parallel import CellTask
 from repro.obs.tracing import ObsOptions, RunObservability
 from repro.sim.simulator import SimulationResult
 
@@ -78,16 +78,18 @@ def run_grid(
 ) -> RunGrid:
     """Simulate every (workload, config) pair.
 
-    ``jobs > 1`` fans the cells out over that many worker processes
-    (:mod:`repro.experiments.parallel`); the assembled grid is identical
-    to a serial run because every cell is independently seeded and
-    results are collected in task order.  ``obs`` attaches a fresh
-    observer to every cell (:meth:`RunGrid.observability` collects the
-    records).  ``sweep`` routes the cells through the store-consulting
-    scheduler (:mod:`repro.sched`) instead -- hits skip simulation,
-    misses are persisted -- with the identical assembled grid either
-    way.
+    The cells dispatch through ``sweep`` (:class:`repro.sched.Sweep`;
+    a storeless one when None): store hits skip simulation, misses are
+    persisted, and ``jobs > 1`` fans them out over that many worker
+    processes.  The assembled grid is identical either way because
+    every cell is independently seeded and results come back in task
+    order.  ``obs`` attaches a fresh observer to every cell
+    (:meth:`RunGrid.observability` collects the records).
     """
+    # Imported here, not at module top: the scheduler pulls in the
+    # store, which importing an experiment module should not pay for.
+    from repro.sched import Sweep
+
     workloads = tuple(workloads)
     configs = tuple(configs)
     tasks = [
@@ -101,10 +103,9 @@ def run_grid(
         for name in workloads
         for config in configs
     ]
-    if sweep is not None:
-        results = sweep.run_cells(tasks, jobs=jobs, progress=progress)
-    else:
-        results = run_cells(tasks, jobs=jobs, progress=progress)
+    if sweep is None:
+        sweep = Sweep("grid")
+    results = sweep.run_cells(tasks, jobs=jobs, progress=progress)
     grid = RunGrid(workloads=workloads, configs=configs)
     for task, result in zip(tasks, results):
         grid.results[(task.workload, task.config)] = result

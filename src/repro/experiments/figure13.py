@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.core.address import BASE_PAGE_SIZE
 from repro.experiments.common import format_table, isa_configs
-from repro.experiments.parallel import parallel_map
 from repro.mem.badpages import BadPageList
 from repro.sim.config import parse_config
 from repro.sim.simulator import run_trace
@@ -177,13 +176,14 @@ def run(
 ) -> Figure13Result:
     """Measure the figure; ``trials=30`` matches the paper exactly.
 
-    Every (baseline + trial) run is independent, so with ``jobs > 1``
-    they all fan out over one worker pool; results are assembled in
-    task order and match a serial run exactly.  ``sweep`` routes the
-    trials through the store-consulting scheduler: each workload's
-    fault-free baseline is a dependency wave ahead of its trials.
+    The runs dispatch through ``sweep`` (:class:`repro.sched.Sweep`; a
+    storeless one when None): each workload's fault-free baseline is a
+    dependency wave ahead of its trials, and with ``jobs > 1`` each
+    wave fans out over a worker pool.  Results are assembled in task
+    order and match a serial run exactly.
     """
     from repro.isa.geometry import get_geometry
+    from repro.sched import Sweep
 
     isa = get_geometry(isa).name
     tasks = []
@@ -194,18 +194,17 @@ def run(
                 print(f"  {name}: {num_bad} bad pages x {trials} trials", flush=True)
             for trial in range(trials):
                 tasks.append(_TrialTask(name, trace_length, num_bad, trial, isa=isa))
-    if sweep is not None:
-        samples = sweep.run_tasks(
-            tasks,
-            _trial_cycles,
-            _trial_ingredients,
-            deps_for=_trial_deps,
-            label_for=lambda t: f"{t.workload} +{t.num_bad} bad #{t.trial}",
-            jobs=jobs,
-            progress=progress,
-        )
-    else:
-        samples = parallel_map(_trial_cycles, tasks, jobs=jobs)
+    if sweep is None:
+        sweep = Sweep("figure13")
+    samples = sweep.run_tasks(
+        tasks,
+        _trial_cycles,
+        _trial_ingredients,
+        deps_for=_trial_deps,
+        label_for=lambda t: f"{t.workload} +{t.num_bad} bad #{t.trial}",
+        jobs=jobs,
+        progress=progress,
+    )
     cycles = dict(zip(tasks, samples))
 
     points = []

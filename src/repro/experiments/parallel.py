@@ -1,41 +1,21 @@
-"""Process-parallel execution of experiment sweeps.
+"""Grid cells: the (workload, configuration) unit of a figure sweep.
 
 A figure sweep is dozens of independent (workload, configuration) cells;
 each cell builds its own system and trace, shares nothing mutable with
-the others, and produces one picklable :class:`SimulationResult`.  This
-module fans those cells out over a ``multiprocessing`` pool:
-
-* **Task descriptors, not closures** -- cells are described by the
-  frozen, picklable :class:`CellTask`, and trials by whatever small
-  dataclass the experiment defines; the worker function is a module-level
-  callable, so every start method (fork, spawn) can ship the work.
-* **Deterministic ordering** -- results come back in task-submission
-  order (``Pool.map``), so a parallel sweep assembles the exact same
-  grid -- and serializes to the exact same report -- as a serial one.
-  Cells are seeded explicitly; nothing depends on completion order.
-* **Graceful serial fallback** -- ``jobs <= 1`` (the default everywhere)
-  never touches multiprocessing: the same loop that always ran, runs.
-* **Trace sharing** -- the parent pre-warms :mod:`repro.sim.trace_cache`
-  before forking, so on fork-based platforms workers inherit the trace
-  arrays copy-on-write instead of regenerating them per process.
+the others, and produces one picklable :class:`SimulationResult`.  A
+cell is described by the frozen, picklable :class:`CellTask` and run by
+the module-level :func:`run_cell`, so :class:`repro.sched.Sweep` can
+execute it inline, in a worker process of any start method, or on a
+fabric worker.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import TypeVar
 
-from repro.errors import ConfigError
 from repro.obs.tracing import ObsOptions
-from repro.sim import trace_cache
-from repro.sim.config import parse_config
 from repro.sim.simulator import SimulationResult, simulate
 from repro.workloads.registry import create_workload
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -67,71 +47,3 @@ def run_cell(task: CellTask) -> SimulationResult:
         seed=task.seed,
         observer=observer,
     )
-
-
-def prewarm_traces(tasks: Sequence[CellTask]) -> None:
-    """Generate each distinct trace once in the parent process."""
-    seen: set[tuple[str, int | None, int, str]] = set()
-    for task in tasks:
-        isa = parse_config(task.config).isa_name()
-        key = (task.workload, task.trace_length, task.seed, isa)
-        if key in seen:
-            continue
-        seen.add(key)
-        trace_cache.get_trace(
-            create_workload(task.workload), task.trace_length, task.seed, isa=isa
-        )
-
-
-def run_cells(
-    tasks: Iterable[CellTask],
-    jobs: int = 1,
-    progress: bool = False,
-) -> list[SimulationResult]:
-    """Run every cell, serially or across ``jobs`` worker processes.
-
-    Results are returned in task order regardless of ``jobs``, so
-    callers assemble identical grids either way.
-    """
-    tasks = list(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
-        results = []
-        for task in tasks:
-            if progress:
-                print(f"  running {task.workload} / {task.config} ...", flush=True)
-            results.append(run_cell(task))
-        return results
-    if progress:
-        print(
-            f"  dispatching {len(tasks)} cells across {jobs} workers ...",
-            flush=True,
-        )
-    return parallel_map(run_cell, tasks, jobs=jobs, prewarm=lambda: prewarm_traces(tasks))
-
-
-def parallel_map(
-    func: Callable[[T], R],
-    items: Sequence[T],
-    jobs: int = 1,
-    prewarm: Callable[[], None] | None = None,
-) -> list[R]:
-    """``[func(item) for item in items]``, optionally across processes.
-
-    ``func`` must be a module-level callable and ``items`` picklable
-    values (spawn-safe); with ``jobs <= 1`` neither restriction applies
-    because everything runs inline.  ``prewarm`` runs in the parent just
-    before the pool is forked (e.g. to populate caches workers inherit).
-    Output order always matches input order.
-    """
-    if jobs < 0:
-        raise ConfigError(f"jobs must be >= 0, got {jobs}")
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    if prewarm is not None:
-        prewarm()
-    workers = min(jobs, len(items))
-    with multiprocessing.get_context().Pool(processes=workers) as pool:
-        # chunksize=1: cells are coarse (seconds each), so favour load
-        # balance over dispatch overhead.
-        return pool.map(func, items, chunksize=1)

@@ -122,8 +122,9 @@ class _ResilienceTask:
     """One resilience run, fully described by picklable values.
 
     ``extra is None`` is the workload's fault-free baseline (always
-    unobserved, matching the store-less path); otherwise the chaos plan
-    is rebuilt deterministically from the seed and fault count.
+    unobserved: only faulted runs feed ``obs_records``); otherwise the
+    chaos plan is rebuilt deterministically from the seed and fault
+    count.
     """
 
     workload: str
@@ -211,11 +212,13 @@ def run(
 ) -> ResilienceResult:
     """Sweep overhead and consistency against the injected fault count.
 
-    ``sweep`` routes the runs through the store-consulting scheduler
-    (:mod:`repro.sched`): each workload's fault-free baseline is a
-    dependency wave ahead of its faulted runs, and every completed run
-    is persisted immediately.
+    The runs dispatch through ``sweep`` (:class:`repro.sched.Sweep`; a
+    storeless one when None): each workload's fault-free baseline is a
+    dependency wave ahead of its faulted runs, and with a store every
+    completed run is persisted immediately.
     """
+    from repro.sched import Sweep
+
     tasks = []
     for name in workloads:
         tasks.append(
@@ -231,28 +234,20 @@ def run(
                     extra=extra, obs=obs,
                 )
             )
-    if sweep is not None:
-        outputs = sweep.run_tasks(
-            tasks,
-            _resilience_cell,
-            _resilience_ingredients,
-            deps_for=_resilience_deps,
-            label_for=lambda t: (
-                f"{t.workload} baseline"
-                if t.extra is None
-                else f"{t.workload} +{t.extra} hard faults"
-            ),
-            progress=progress,
-        )
-    else:
-        outputs = []
-        for task in tasks:
-            if progress and task.extra is not None:
-                print(
-                    f"  {task.workload}: chaos plan +{task.extra} hard faults",
-                    flush=True,
-                )
-            outputs.append(_resilience_cell(task))
+    if sweep is None:
+        sweep = Sweep("resilience")
+    outputs = sweep.run_tasks(
+        tasks,
+        _resilience_cell,
+        _resilience_ingredients,
+        deps_for=_resilience_deps,
+        label_for=lambda t: (
+            f"{t.workload} baseline"
+            if t.extra is None
+            else f"{t.workload} +{t.extra} hard faults"
+        ),
+        progress=progress,
+    )
     by_task = dict(zip(tasks, outputs))
 
     points = []

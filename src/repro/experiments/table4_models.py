@@ -12,8 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import DEFAULT_TRACE_LENGTH, format_table, isa_configs
-from repro.experiments.parallel import CellTask, run_cells
+from repro.experiments.common import (
+    DEFAULT_TRACE_LENGTH,
+    format_table,
+    isa_configs,
+    run_grid,
+)
 from repro.model.counters import model_inputs
 from repro.model.linear_model import (
     direct_segment_cycles,
@@ -68,32 +72,24 @@ def run(
     """Apply Table IV and compare against direct simulation."""
     configs = isa_configs(_CONFIGS, isa)
     label = dict(zip(_CONFIGS, configs))
-    tasks = [
-        CellTask(
-            workload=name,
-            config=config,
-            trace_length=trace_length,
-            seed=seed,
-            obs=obs,
-        )
-        for name in workloads
-        for config in configs
-    ]
-    if sweep is not None:
-        results = sweep.run_cells(tasks, jobs=jobs, progress=progress)
-    else:
-        results = run_cells(tasks, jobs=jobs, progress=progress)
-    cells = dict(
-        zip(((t.workload, t.config) for t in tasks), results)
+    grid = run_grid(
+        workloads,
+        configs,
+        trace_length=trace_length,
+        seed=seed,
+        progress=progress,
+        jobs=jobs,
+        obs=obs,
+        sweep=sweep,
     )
     comparisons = []
     for name in workloads:
-        native = cells[(name, label["4K"])]
-        virt = cells[(name, label["4K+4K"])]
-        dd = cells[(name, label["DD"])]
-        vd = cells[(name, label["4K+VD"])]
-        gd = cells[(name, label["4K+GD"])]
-        ds = cells[(name, label["DS"])]
+        native = grid.get(name, label["4K"])
+        virt = grid.get(name, label["4K+4K"])
+        dd = grid.get(name, label["DD"])
+        vd = grid.get(name, label["4K+VD"])
+        gd = grid.get(name, label["4K+GD"])
+        ds = grid.get(name, label["DS"])
 
         inputs = model_inputs(native.run, virt.run, dd.run)
         designs = [
@@ -116,8 +112,7 @@ def run(
                 )
             )
     return Table4Result(
-        comparisons=comparisons,
-        obs_records=tuple(r.obs for r in results if r.obs is not None),
+        comparisons=comparisons, obs_records=tuple(grid.observability())
     )
 
 

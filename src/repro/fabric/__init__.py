@@ -7,14 +7,12 @@ over a length-prefixed JSON protocol (:mod:`repro.fabric.protocol`)
 with per-lease deadlines, heartbeats and expiry-driven requeue; workers
 execute cells through the existing sweep machinery and commit results
 to the shared :class:`~repro.store.ResultStore` (multi-writer safe), so
-a killed worker never loses or duplicates a cell.  An **HTTP front
-end** (:mod:`repro.fabric.service`) serves cached cells instantly by
-store key and enqueues misses as fabric jobs.
+a killed worker never loses or duplicates a cell.
 
-Experiments opt in with ``--fabric HOST:PORT``; the sweep scheduler
-(:mod:`repro.sched.scheduler`) then dispatches each dependency wave
-through a :class:`~repro.fabric.client.FabricClient` instead of the
-in-process worker pool, with byte-identical reports (proven by
+Experiments opt in with ``--fabric HOST:PORT``; :class:`repro.sched.Sweep`
+then dispatches each dependency wave through a
+:class:`~repro.fabric.client.FabricClient` instead of the in-process
+worker pool, with byte-identical reports (proven by
 ``tests/fabric/test_fabric_equivalence.py`` alongside the warm/cold
 equivalence suite).  See DESIGN.md ("Distributed sweep fabric") and
 EXPERIMENTS.md for usage.
@@ -28,7 +26,6 @@ from repro.fabric.coordinator import (
     FabricCoordinator,
 )
 from repro.fabric.protocol import PROTOCOL_VERSION
-from repro.fabric.service import FabricHTTPService
 from repro.fabric.worker import FabricWorker, worker_host
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "CoordinatorThread",
     "FabricClient",
     "FabricCoordinator",
-    "FabricHTTPService",
     "FabricWorker",
     "parse_address",
     "worker_host",

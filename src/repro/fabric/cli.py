@@ -2,14 +2,13 @@
 
 Reached as ``python -m repro.experiments fabric <op>``::
 
-    fabric serve  [--store DIR] [--port P] [--http-port P]
+    fabric serve  [--store DIR] [--port P]
                   [--lease-timeout S] [--max-attempts N]
     fabric work   --connect HOST:PORT [--store DIR] [--max-cells N]
                   [--max-leases N] [--trace-cache-bytes N] [--progress]
     fabric status --connect HOST:PORT [--json]
 
-``serve`` runs a coordinator (and, with ``--http-port``, the HTTP
-front end) over the store until interrupted; ``work`` runs one worker
+``serve`` runs a coordinator over the store until interrupted; ``work`` runs one worker
 process against a coordinator; ``status`` prints the coordinator's
 live state.  A minimal deployment is one ``serve``, N ``work``
 processes sharing the store directory, and experiment invocations with
@@ -35,7 +34,6 @@ def _store_path(arg: str | None) -> Path:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.fabric.coordinator import CoordinatorThread, FabricCoordinator
-    from repro.fabric.service import FabricHTTPService
 
     store = ResultStore(_store_path(args.store))
     coordinator = FabricCoordinator(
@@ -52,19 +50,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"max attempts {args.max_attempts})",
         flush=True,
     )
-    service = None
-    if args.http_port is not None:
-        service = FabricHTTPService(
-            store, coordinator=thread, host=args.host, port=args.http_port
-        ).start()
-        print(f"fabric HTTP front end on {service.url}", flush=True)
     try:
         threading.Event().wait()
     except KeyboardInterrupt:
         print("shutting down", flush=True)
     finally:
-        if service is not None:
-            service.stop()
         thread.stop()
     return 0
 
@@ -135,15 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="op", required=True)
 
-    serve = sub.add_parser("serve", help="run a coordinator (+ HTTP front end)")
+    serve = sub.add_parser("serve", help="run a coordinator")
     serve.add_argument("--store", default=None, metavar="DIR",
                        help=f"shared store directory (default $REPRO_STORE "
                             f"or {DEFAULT_STORE_PATH})")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=7463,
                        help="coordinator port (default 7463; 0 = ephemeral)")
-    serve.add_argument("--http-port", type=int, default=None, metavar="P",
-                       help="also serve the HTTP front end on this port")
     serve.add_argument("--lease-timeout", type=float, default=30.0,
                        metavar="S", help="seconds before an unheartbeated "
                                          "lease expires (default 30)")

@@ -1,7 +1,7 @@
 """The fabric coordinator: leases cell waves to workers, loses nothing.
 
 One asyncio process owns the work queue.  Submitters (the experiments
-CLI running with ``--fabric``, or the HTTP front end) hand it *jobs* --
+CLI running with ``--fabric``) hand it *jobs* --
 content-addressed cells, each carrying the pickled ``(execute, task)``
 blob a worker needs -- and workers pull bounded *leases* of jobs over
 the length-prefixed JSON protocol (:mod:`repro.fabric.protocol`).
@@ -514,15 +514,6 @@ class FabricCoordinator:
         self._inc("fabric.cells_enqueued")
         return job
 
-    def enqueue_jobs(self, specs: list[dict]) -> list[str]:
-        """Adopt jobs with no submitter to notify (the HTTP miss path).
-
-        Returns the per-key states after adoption.  Must run on the
-        coordinator's event loop (the HTTP thread goes through
-        ``run_coroutine_threadsafe``).
-        """
-        return [self._adopt_job(spec).state for spec in specs]
-
     # -- lease expiry ---------------------------------------------------
 
     async def _reap_loop(self) -> None:
@@ -565,7 +556,7 @@ class FabricCoordinator:
     # -- status ---------------------------------------------------------
 
     def status(self) -> dict:
-        """The ``status-reply`` document (also the HTTP /status body)."""
+        """The ``status-reply`` document."""
         states = {"queued": 0, "leased": 0, "done": 0, "failed": 0}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
@@ -597,13 +588,13 @@ class FabricCoordinator:
 
 
 # ----------------------------------------------------------------------
-# Thread embedding (tests, `fabric serve`'s HTTP sidecar)
+# Thread embedding (tests, `fabric serve`)
 
 
 class CoordinatorThread:
     """A coordinator running on its own event loop in a daemon thread.
 
-    Lets synchronous code -- tests, the blocking HTTP front end -- stand
+    Lets synchronous code -- tests, the ``fabric serve`` command -- stand
     up a live coordinator and talk to it over real sockets.  ``submit``
     work by connecting a normal :class:`repro.fabric.client.FabricClient`
     to ``host:port``.

@@ -14,9 +14,9 @@ one figure-13 trial, one resilience run).  A :class:`Cell` carries:
 * ``deps`` -- keys of cells that must complete first (e.g. a trial's
   fault-free baseline), forming a DAG.
 
-:func:`toposort_waves` layers a cell list into dependency waves; the
-scheduler dispatches each wave through the existing serial/parallel
-runners and persists results as they land.
+:func:`toposort_waves` layers a cell list into dependency waves;
+:class:`repro.sched.Sweep` dispatches each wave and persists results as
+they land.
 """
 
 from __future__ import annotations

@@ -1,15 +1,19 @@
-"""Incremental, crash-resumable sweep scheduling over the result store.
+"""The one dispatcher every experiment sweep runs through.
 
-The scheduler sits between the experiments and the existing
-serial/parallel runners: every sweep is decomposed into a cell DAG
-(:mod:`repro.sched.cells`), each cell's store entry is consulted before
-any work is dispatched, misses run through the same worker-pool
-machinery as before (results land in input order, so sweeps stay
-byte-identical to store-less runs), and **every completed cell is
-persisted immediately** -- a sweep killed at any point resumes from the
-last durable cell, recomputing nothing that already finished.
+A :class:`Sweep` decomposes a sweep into a cell DAG
+(:mod:`repro.sched.cells`), consults its store for each cell before any
+work is dispatched, runs the misses wave by wave -- inline, across a
+worker pool, or through a fabric coordinator -- and **persists every
+completed cell immediately**, so a sweep killed at any point resumes
+from the last durable cell, recomputing nothing that already finished.
+Results come back in task order whatever the dispatch, so serial,
+pooled, fabric, warm and cold sweeps assemble identical reports.
 
-Completion is double-journalled:
+Runs without ``--store`` use the :class:`NullStore`: every probe
+misses, every put is dropped, and nothing touches the disk -- the same
+dispatcher, with no persistence.
+
+Completion is double-journalled for real stores:
 
 * the **store's write-ahead journal** makes each entry durable and
   crash-consistent (that is the source of truth for ``--resume``);
@@ -31,11 +35,28 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import SchedulerError
-from repro.experiments.parallel import CellTask, prewarm_traces, run_cell
+from repro.errors import ConfigError, SchedulerError
+from repro.experiments.parallel import CellTask, run_cell
 from repro.sched.cells import Cell, toposort_waves
 from repro.store.keys import cell_key, digest, grid_cell_ingredients
 from repro.store.store import ResultStore
+
+
+class NullStore:
+    """The store of a run without ``--store``: it never holds anything.
+
+    ``get`` always misses and ``put`` discards, so every cell is
+    computed; with no ``sweeps_dir`` the sweep keeps no completion
+    journal, and no file is ever written.
+    """
+
+    sweeps_dir = None
+
+    def get(self, key: str) -> None:
+        return None
+
+    def put(self, key: str, value: Any, ingredients: dict) -> bool:
+        return False
 
 
 @dataclass
@@ -65,41 +86,139 @@ class SweepReport:
         return ", ".join(parts)
 
 
+def check_jobs(jobs: int) -> None:
+    """Reject a negative worker count (0 and 1 both mean serial)."""
+    if jobs < 0:
+        raise ConfigError(f"jobs must be >= 0, got {jobs}")
+
+
 def _indexed_call(item: tuple[int, Callable, Any]) -> tuple[int, Any]:
     """Worker shim: run one cell, tagged with its wave index."""
     index, execute, task = item
     return index, execute(task)
 
 
-class SweepScheduler:
-    """Schedules one experiment's cell DAG against a result store.
+class Sweep:
+    """Dispatches one experiment invocation's cells against a store.
+
+    One instance per (experiment entry point, invocation); experiments
+    thread it through to their dispatch sites, and build a storeless
+    one (``store=None`` means :class:`NullStore`) when handed none.
+    ``run_cells`` covers grid sweeps (:class:`CellTask`); ``run_tasks``
+    covers any experiment-specific picklable task type with a
+    module-level executor; ``run`` takes a ready-made cell DAG.
 
     ``fabric`` optionally routes each wave's misses through a running
     fabric coordinator (:mod:`repro.fabric`) instead of the in-process
     worker pool: pass a ``HOST:PORT`` address (a connection is opened
     per :meth:`run`) or an already-connected
-    :class:`~repro.fabric.client.FabricClient`.  Hits, journalling and
-    result ordering are identical either way, so fabric sweeps stay
-    byte-identical to serial ones.
+    :class:`~repro.fabric.client.FabricClient`.  Workers hand results
+    back through the store, so fabric dispatch needs a real one.
     """
 
     def __init__(
         self,
         experiment: str,
-        store: ResultStore,
+        store: ResultStore | None = None,
         resume: bool = False,
         fabric: Any = None,
     ) -> None:
+        if store is None:
+            store = NullStore()
+        if fabric is not None and isinstance(store, NullStore):
+            raise SchedulerError(
+                "fabric dispatch needs the result store shared with its "
+                "workers; a storeless sweep cannot use one"
+            )
         self.experiment = experiment
         self.store = store
         self.resume = resume
         self.fabric = fabric
-        self.report: SweepReport | None = None
-        #: Lease lifecycle events the coordinator reported for this
-        #: sweep's batches (empty for non-fabric runs); feeds manifests.
+        self.reports: list[SweepReport] = []
+        #: Lease lifecycle events across every fabric dispatch (empty
+        #: for local sweeps); :func:`repro.obs.manifest.build_manifest`
+        #: records them per run.
         self.fabric_events: list[dict] = []
 
+    @property
+    def report(self) -> SweepReport:
+        """Aggregate over every dispatch this sweep served."""
+        total = SweepReport(experiment=self.experiment)
+        for r in self.reports:
+            total.total += r.total
+            total.hits += r.hits
+            total.computed += r.computed
+            total.resumed += r.resumed
+        return total
+
     # ------------------------------------------------------------------
+
+    def run_cells(
+        self,
+        tasks: Iterable[CellTask],
+        jobs: int = 1,
+        progress: bool = False,
+    ) -> list[Any]:
+        """Run grid cells; results come back in task order."""
+        return self.run_tasks(
+            tasks,
+            run_cell,
+            grid_cell_ingredients,
+            label_for=lambda t: f"{t.workload} / {t.config}",
+            jobs=jobs,
+            progress=progress,
+        )
+
+    def run_tasks(
+        self,
+        tasks: Iterable[Any],
+        execute: Callable[[Any], Any],
+        ingredients_for: Callable[[Any], dict],
+        deps_for: Callable[[Any], Iterable[Any]] | None = None,
+        label_for: Callable[[Any], str] | None = None,
+        jobs: int = 1,
+        progress: bool = False,
+    ) -> list[Any]:
+        """Run arbitrary cells; results come back in task order.
+
+        ``tasks`` must be hashable picklable descriptors; ``execute`` a
+        module-level callable; ``ingredients_for`` maps a task to its
+        key ingredients; ``deps_for`` optionally maps a task to the
+        *tasks* it depends on (which must appear in ``tasks`` too).
+        ``jobs > 1`` fans each wave out over that many processes.
+        """
+        tasks = list(tasks)
+        key_by_task: dict[Any, str] = {}
+        ing_by_task: dict[Any, dict] = {}
+        for task in tasks:
+            if task in key_by_task:
+                continue
+            ingredients = ingredients_for(task)
+            ing_by_task[task] = ingredients
+            key_by_task[task] = cell_key(ingredients)
+        cells = []
+        for task in tasks:
+            deps: tuple[str, ...] = ()
+            if deps_for is not None:
+                try:
+                    deps = tuple(key_by_task[d] for d in deps_for(task))
+                except KeyError as exc:
+                    raise SchedulerError(
+                        f"dependency {exc.args[0]!r} of task {task!r} is "
+                        f"not part of this sweep"
+                    ) from None
+            cells.append(
+                Cell(
+                    key=key_by_task[task],
+                    ingredients=ing_by_task[task],
+                    task=task,
+                    execute=execute,
+                    deps=deps,
+                    label=label_for(task) if label_for is not None else "",
+                )
+            )
+        results = self.run(cells, jobs=jobs, progress=progress)
+        return [results[key_by_task[task]] for task in tasks]
 
     def run(
         self,
@@ -111,8 +230,10 @@ class SweepScheduler:
 
         Store hits skip execution entirely; misses run wave by wave
         (dependencies first) and are persisted the moment they complete,
-        with a completion record appended to the sweep journal.
+        with a completion record appended to the sweep journal.  The
+        dispatch's :class:`SweepReport` is appended to :attr:`reports`.
         """
+        check_jobs(jobs)
         waves = toposort_waves(cells)
         ordered = [cell for wave in waves for cell in wave]
         report = SweepReport(experiment=self.experiment, total=len(ordered))
@@ -125,7 +246,7 @@ class SweepScheduler:
             if value is not None:
                 results[cell.key] = value
                 report.hits += 1
-        if progress and ordered:
+        if progress and ordered and journal is not None:  # a real store
             print(
                 f"  store: {report.hits}/{len(ordered)} cells warm, "
                 f"computing {len(ordered) - report.hits}",
@@ -157,12 +278,15 @@ class SweepScheduler:
                 if owns_client:
                     client.close()
         _append_line(journal, {"op": "sweep-done"})
-        self.report = report
+        self.reports.append(report)
         return results
 
     # ------------------------------------------------------------------
 
-    def _journal_path(self, cells: Sequence[Cell]) -> Path:
+    def _journal_path(self, cells: Sequence[Cell]) -> Path | None:
+        """This sweep's completion journal (None: the store keeps none)."""
+        if self.store.sweeps_dir is None:
+            return None
         sweep_id = digest(
             {
                 "experiment": self.experiment,
@@ -172,7 +296,7 @@ class SweepScheduler:
         return self.store.sweeps_dir / f"{self.experiment}-{sweep_id}.jsonl"
 
     def _open_journal(
-        self, journal: Path, total: int, progress: bool
+        self, journal: Path | None, total: int, progress: bool
     ) -> int:
         """Start or resume the sweep's completion journal.
 
@@ -180,7 +304,8 @@ class SweepScheduler:
         already journalled (only honoured under ``resume``; otherwise
         the journal restarts, while store entries still serve as hits).
         """
-        prior_done = 0
+        if journal is None:
+            return 0
         if journal.exists() and self.resume:
             done = False
             seen: set[str] = set()
@@ -190,16 +315,15 @@ class SweepScheduler:
                 elif record.get("op") == "sweep-done":
                     done = True
             if not done:
-                prior_done = len(seen)
                 _append_line(journal, {"op": "sweep-resume"})
                 if progress:
                     print(
                         f"  resuming interrupted sweep "
-                        f"{journal.stem}: {prior_done}/{total} cells "
+                        f"{journal.stem}: {len(seen)}/{total} cells "
                         f"already journalled durable",
                         flush=True,
                     )
-                return prior_done
+                return len(seen)
         journal.parent.mkdir(parents=True, exist_ok=True)
         header = {
             "op": "sweep-begin",
@@ -209,7 +333,7 @@ class SweepScheduler:
         journal.write_text(
             json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
         )
-        return prior_done
+        return 0
 
     def _fabric_client(self) -> tuple[Any, bool]:
         """Resolve ``self.fabric`` to a connected client (or ``(None, False)``).
@@ -240,7 +364,7 @@ class SweepScheduler:
         to the shared store and the coordinator streams per-cell
         completions back, at which point the value is read *from the
         store* (results never cross the wire) and handed to the same
-        ``on_done`` the local paths use -- its ``store.put`` is an
+        ``on_done`` the local path uses -- its ``store.put`` is an
         idempotent no-op on an already-durable key, so journalling and
         report accounting stay identical to a local run.
         """
@@ -275,16 +399,15 @@ class SweepScheduler:
         progress: bool,
         on_done: Callable[[Cell, Any], None],
     ) -> None:
-        """Run one wave's misses; ``on_done`` fires per completion.
+        """Run one wave's misses inline or across ``jobs`` processes.
 
-        Serial path mirrors :func:`repro.experiments.parallel.run_cells`
-        exactly; the parallel path uses ``imap_unordered`` so results
-        are persisted -- and therefore resumable -- as workers finish,
-        not when the whole wave does.
+        ``jobs <= 1`` (or a single pending cell) never touches
+        multiprocessing.  The pool path uses ``imap_unordered`` so
+        results are persisted -- and therefore resumable -- as workers
+        finish, not when the whole wave does; ``on_done`` files each
+        under its key, so completion order never reaches the report.
         """
-        if not pending:
-            return
-        if jobs <= 1 or len(pending) == 1:
+        if jobs <= 1 or len(pending) <= 1:
             for cell in pending:
                 if progress:
                     print(
@@ -293,142 +416,30 @@ class SweepScheduler:
                     )
                 on_done(cell, cell.execute(cell.task))
             return
+        workers = min(jobs, len(pending))
         if progress:
             print(
                 f"  dispatching {len(pending)} cells across "
-                f"{min(jobs, len(pending))} workers ...",
+                f"{workers} workers ...",
                 flush=True,
             )
-        grid_tasks = [c.task for c in pending if isinstance(c.task, CellTask)]
-        if grid_tasks:
-            prewarm_traces(grid_tasks)
         items = [(i, cell.execute, cell.task) for i, cell in enumerate(pending)]
-        workers = min(jobs, len(items))
         with multiprocessing.get_context().Pool(processes=workers) as pool:
+            # chunksize=1: cells are coarse (seconds each), so favour
+            # load balance over dispatch overhead.
             for index, value in pool.imap_unordered(
                 _indexed_call, items, chunksize=1
             ):
                 on_done(pending[index], value)
 
 
-class Sweep:
-    """Front door for store-backed experiments.
-
-    One instance per (experiment entry point, invocation); experiments
-    thread it through to their dispatch sites.  ``run_cells`` covers
-    grid sweeps (:class:`CellTask`); ``run_tasks`` covers any
-    experiment-specific picklable task type with a module-level
-    executor.  Both return results in input task order -- exactly what
-    the store-less runners produce -- so warm, cold, serial and parallel
-    sweeps all assemble identical experiment results.
-    """
-
-    def __init__(
-        self,
-        experiment: str,
-        store: ResultStore,
-        resume: bool = False,
-        fabric: Any = None,
-    ) -> None:
-        self.experiment = experiment
-        self.store = store
-        self.resume = resume
-        self.fabric = fabric
-        self.reports: list[SweepReport] = []
-        #: Lease lifecycle events across every fabric dispatch (empty
-        #: for local sweeps); :func:`repro.obs.manifest.build_manifest`
-        #: records them per run.
-        self.fabric_events: list[dict] = []
-
-    @property
-    def report(self) -> SweepReport:
-        """Aggregate over every dispatch this sweep served."""
-        total = SweepReport(experiment=self.experiment)
-        for r in self.reports:
-            total.total += r.total
-            total.hits += r.hits
-            total.computed += r.computed
-            total.resumed += r.resumed
-        return total
-
-    def run_cells(
-        self,
-        tasks: Iterable[CellTask],
-        jobs: int = 1,
-        progress: bool = False,
-    ) -> list[Any]:
-        """Store-backed drop-in for :func:`parallel.run_cells`."""
-        return self.run_tasks(
-            tasks,
-            run_cell,
-            grid_cell_ingredients,
-            label_for=lambda t: f"{t.workload} / {t.config}",
-            jobs=jobs,
-            progress=progress,
-        )
-
-    def run_tasks(
-        self,
-        tasks: Iterable[Any],
-        execute: Callable[[Any], Any],
-        ingredients_for: Callable[[Any], dict],
-        deps_for: Callable[[Any], Iterable[Any]] | None = None,
-        label_for: Callable[[Any], str] | None = None,
-        jobs: int = 1,
-        progress: bool = False,
-    ) -> list[Any]:
-        """Run arbitrary cells through the store-consulting scheduler.
-
-        ``tasks`` must be hashable picklable descriptors; ``execute`` a
-        module-level callable; ``ingredients_for`` maps a task to its
-        key ingredients; ``deps_for`` optionally maps a task to the
-        *tasks* it depends on (which must appear in ``tasks`` too).
-        """
-        tasks = list(tasks)
-        key_by_task: dict[Any, str] = {}
-        ing_by_task: dict[Any, dict] = {}
-        for task in tasks:
-            if task in key_by_task:
-                continue
-            ingredients = ingredients_for(task)
-            ing_by_task[task] = ingredients
-            key_by_task[task] = cell_key(ingredients)
-        cells = []
-        for task in tasks:
-            deps: tuple[str, ...] = ()
-            if deps_for is not None:
-                try:
-                    deps = tuple(key_by_task[d] for d in deps_for(task))
-                except KeyError as exc:
-                    raise SchedulerError(
-                        f"dependency {exc.args[0]!r} of task {task!r} is "
-                        f"not part of this sweep"
-                    ) from None
-            cells.append(
-                Cell(
-                    key=key_by_task[task],
-                    ingredients=ing_by_task[task],
-                    task=task,
-                    execute=execute,
-                    deps=deps,
-                    label=label_for(task) if label_for is not None else "",
-                )
-            )
-        scheduler = SweepScheduler(
-            self.experiment, self.store, resume=self.resume, fabric=self.fabric
-        )
-        results = scheduler.run(cells, jobs=jobs, progress=progress)
-        assert scheduler.report is not None
-        self.reports.append(scheduler.report)
-        self.fabric_events.extend(scheduler.fabric_events)
-        return [results[key_by_task[task]] for task in tasks]
-
-
 # ----------------------------------------------------------------------
 # Journal plumbing
 
 
-def _append_line(path: Path, record: dict) -> None:
+def _append_line(path: Path | None, record: dict) -> None:
+    if path is None:
+        return
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
         fh.flush()

@@ -67,9 +67,6 @@ WASTED_PREFIX = 32
 #: First scalar-burst length after a wasted classification attempt.
 MIN_BURST = 64
 
-DEFAULT_BLOCK = MAX_CHUNK  # backward-compatible alias
-
-
 class BatchedTranslationEngine:
     """Drives an address stream through an MMU, fast-pathing L1 hits.
 
@@ -244,6 +241,6 @@ class BatchedTranslationEngine:
             access(va)
 
 
-def access_batch(mmu: MMU, addresses: np.ndarray, block: int = DEFAULT_BLOCK) -> None:
+def access_batch(mmu: MMU, addresses: np.ndarray, block: int = MAX_CHUNK) -> None:
     """Convenience wrapper: one-shot batched translation of a stream."""
     BatchedTranslationEngine(mmu, block=block).run(addresses)

@@ -115,18 +115,22 @@ def run_trace(
     unique page indices (the trace cache shares one array across every
     config of a sweep), saving the per-run ``np.unique``.
 
-    Without ``fault_injector``/``oracle`` the trace runs through the
-    batched engine (:mod:`repro.sim.engine`) -- counters and TLB state
-    come out bit-identical to the scalar loop, only faster.  With either
-    attached, the scalar per-reference loop runs instead: injected
+    Every run is one sequence: populate, warm up, reset counters,
+    attach the observer, translate the measured portion in chunks of
+    ``observer.interval`` references, sampling cumulative counters
+    after each (one unsampled chunk without an interval).  Only the
+    chunk body
+    differs.  Without ``fault_injector``/``oracle`` it is the batched
+    engine (:mod:`repro.sim.engine`), whose counters and TLB state come
+    out bit-identical to the scalar loop, only faster; with either
+    attached it is the scalar per-reference loop, because injected
     faults and shadow checks need reference-granular interleaving.
+    Warm-up always runs batched: it precedes every injection and check.
 
     An ``observer`` attaches its metrics registry to the system after
-    warm-up (so histograms cover only the measured portion) and samples
-    cumulative counters every ``observer.interval`` measured references.
-    On the batched path this drives the engine in interval-sized chunks,
-    which the engine's statelessness between runs makes bit-identical to
-    one big run; the result carries the frozen record in ``.obs``.
+    warm-up (so histograms cover only the measured portion); the result
+    carries its frozen record in ``.obs``.  Chunking is invisible to the
+    counters because the engine keeps no state between runs.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError(
@@ -143,47 +147,36 @@ def run_trace(
     mmu = system.mmu
 
     split = int(len(rebased) * warmup_fraction)
-    interval = observer.interval if observer is not None else None
+    mmu.access_batch(rebased[:split])
+    mmu.counters.reset()
+    system.hierarchy.reset_stats()
+    if observer is not None:
+        observer.attach(system)
+        if fault_injector is not None:
+            fault_injector.metrics = observer.metrics
+        observer.begin()
+    measured = rebased[split:]
     if fault_injector is None and oracle is None:
-        mmu.access_batch(rebased[:split])
-        mmu.counters.reset()
-        system.hierarchy.reset_stats()
-        if observer is not None:
-            observer.attach(system)
-            observer.begin()
-        measured = rebased[split:]
-        if interval is None:
-            mmu.access_batch(measured)
-        else:
-            n = len(measured)
-            for start in range(0, n, interval):
-                stop = min(start + interval, n)
-                mmu.access_batch(measured[start:stop])
-                observer.sample(stop, system)
+        def translate(start: int, stop: int) -> None:
+            mmu.access_batch(measured[start:stop])
     else:
-        access = mmu.access
-        for va in map(int, rebased[:split]):
-            access(va)
-        mmu.counters.reset()
-        system.hierarchy.reset_stats()
-        if observer is not None:
-            observer.attach(system)
-            if fault_injector is not None:
-                fault_injector.metrics = observer.metrics
-            observer.begin()
-        for index, va in enumerate(map(int, rebased[split:])):
-            if fault_injector is not None:
-                fault_injector.deliver_due(index, system)
-            frame = access(va)
-            if oracle is not None:
-                oracle.observe(index, va, frame)
-            if interval is not None and (index + 1) % interval == 0:
-                observer.sample(index + 1, system)
-        measured_tail = len(rebased) - split
-        if interval is not None and measured_tail % interval:
-            observer.sample(measured_tail, system)
+        def translate(start: int, stop: int) -> None:
+            access = mmu.access
+            for index, va in enumerate(measured[start:stop].tolist(), start):
+                if fault_injector is not None:
+                    fault_injector.deliver_due(index, system)
+                frame = access(va)
+                if oracle is not None:
+                    oracle.observe(index, va, frame)
+    measured_entries = len(measured)
+    interval = observer.interval if observer is not None else None
+    chunk = interval if interval is not None else max(measured_entries, 1)
+    for start in range(0, measured_entries, chunk):
+        stop = min(start + chunk, measured_entries)
+        translate(start, stop)
+        if interval is not None:
+            observer.sample(stop, system)
 
-    measured_entries = len(rebased) - split
     # Each trace entry is one page visit standing for refs_per_entry
     # consecutive references; only the first of a run can change TLB
     # state, so reference counts scale without re-simulating the rest.

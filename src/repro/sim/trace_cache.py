@@ -7,12 +7,9 @@ pure waste.  This cache generates each trace once, computes its unique
 page set once, marks both arrays read-only, and shares them across every
 config of the sweep.
 
-The parallel experiment runner (:mod:`repro.experiments.parallel`)
-pre-warms this cache in the parent process before forking its worker
-pool, so on fork-based platforms the trace arrays are shared
-copy-on-write across all workers instead of being regenerated (or
-pickled) per process.  Under a ``spawn`` start method workers simply
-regenerate lazily -- slower, still correct.
+The cache is per process: a pooled or fabric sweep's workers each
+generate the traces their cells need on first use, and never pickle
+trace arrays across the process boundary.
 
 Keys include the workload class, name and footprint because test
 workloads (e.g. ``TinyWorkload``) reuse one name across different

@@ -45,7 +45,7 @@ def test_write_baseline_lands_at_resolved_path_from_any_cwd(
     cwd.mkdir(parents=True)
     monkeypatch.chdir(cwd)
 
-    result = bench.BenchResult(trace_length=1000, jobs=1)
+    result = bench.BenchResult()
     result.metrics = {"batched_speedup": 2.5, "obs_disabled_ratio": 1.0}
     written = bench.write_baseline(result)
 
@@ -71,7 +71,7 @@ def test_run_update_mode_refreshes_resolved_baseline(tmp_path, monkeypatch):
     monkeypatch.chdir(cwd)
     monkeypatch.setitem(os.environ, "REPRO_BENCH_UPDATE", "1")
 
-    result = bench.run(trace_length=2_000, jobs=1)
+    result = bench.run()
 
     assert baseline.exists()
     assert not (cwd / "BENCH_simulator.json").exists()

@@ -31,13 +31,16 @@ class TestFormatTable:
 
 class TestRunGrid:
     def test_grid_population(self, tiny_workload, monkeypatch):
-        # Cells resolve workloads inside the (serial or worker-side)
-        # cell runner, so that is where the lookup is patched.
+        # Cells resolve workloads where their keys are computed and
+        # inside the (serial or worker-side) cell runner, so both
+        # lookups are patched.
         import repro.experiments.parallel as parallel
+        import repro.store.keys as keys
 
-        monkeypatch.setattr(
-            parallel, "create_workload", lambda name: tiny_workload
-        )
+        for module in (parallel, keys):
+            monkeypatch.setattr(
+                module, "create_workload", lambda name: tiny_workload
+            )
         grid = run_grid(["tiny"], ["4K", "DD"], trace_length=2000)
         assert isinstance(grid, RunGrid)
         assert grid.get("tiny", "4K").config.label == "4K"

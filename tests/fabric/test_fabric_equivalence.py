@@ -3,23 +3,19 @@ even when a worker is SIGKILLed mid-wave.
 
 `tests/sched/test_warm_equivalence.py` proves warm == cold for local
 sweeps (and extends to an in-process fabric); this module covers the
-deployment-shaped cases: real subprocess workers, a kill -9 mid-lease,
-and the HTTP front end serving a completed sweep straight from the
-store.
+deployment-shaped cases: real subprocess workers and a kill -9
+mid-lease.
 """
 
-import json
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
-import urllib.request
 from pathlib import Path
 
 from repro.fabric.coordinator import CoordinatorThread, FabricCoordinator
-from repro.fabric.service import FabricHTTPService
 from repro.fabric.worker import FabricWorker
 from repro.sched import Sweep
 from repro.store.store import ResultStore
@@ -191,26 +187,3 @@ class TestSubprocessWorkers:
         warm_results = warm.run_tasks(tasks, execute_slow, slow_ingredients)
         assert warm_results == cold_results
         assert warm.report.all_hits
-
-
-class TestHTTPWarmServing:
-    def test_every_completed_cell_is_served_by_the_front_end(self, tmp_path):
-        """A warm re-run over HTTP: every key the sweep committed comes
-        back 200 with the exact stored envelope bytes."""
-        tasks = [(0.0, value) for value in range(4)]
-        store = ResultStore(tmp_path / "store")
-        Sweep("slow", store).run_tasks(tasks, execute_slow, slow_ingredients)
-        keys = store.keys()
-        assert len(keys) == 4
-        service = FabricHTTPService(store).start()
-        try:
-            for key in keys:
-                with urllib.request.urlopen(
-                    f"{service.url}/cells/{key}", timeout=10
-                ) as response:
-                    assert response.status == 200
-                    body = response.read()
-                assert body == store.object_path(key).read_bytes()
-                assert json.loads(body)["key"] == key
-        finally:
-            service.stop()

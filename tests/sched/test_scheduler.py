@@ -1,6 +1,6 @@
 """Scheduler mechanics: DAG layering, dispatch, journals, resume.
 
-These tests drive :class:`SweepScheduler`/:class:`Sweep` with tiny
+These tests drive :class:`Sweep` with tiny
 synthetic cells (module-level executors over plain tuples) so the
 scheduling contract is provable without running the simulator; the
 experiment-level behaviour is covered by test_warm_equivalence.py.
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.errors import SchedulerError
-from repro.sched import Cell, Sweep, SweepScheduler, toposort_waves
+from repro.sched import Cell, NullStore, Sweep, toposort_waves
 from repro.store.store import ResultStore
 
 
@@ -68,7 +68,7 @@ class TestToposort:
 class TestSchedulerRun:
     def test_cold_run_computes_and_persists_everything(self, tmp_path):
         store = ResultStore(tmp_path / "st")
-        sched = SweepScheduler("synthetic", store)
+        sched = Sweep("synthetic", store)
         cells = [_cell("a"), _cell("b", deps="a")]
         results = sched.run(cells)
         assert results == {"a" * 40: "aa", "b" * 40: "bb"}
@@ -79,7 +79,7 @@ class TestSchedulerRun:
     def test_warm_run_hits_everything(self, tmp_path):
         store = ResultStore(tmp_path / "st")
         cells = [_cell("a"), _cell("b", deps="a")]
-        SweepScheduler("synthetic", store).run(cells)
+        Sweep("synthetic", store).run(cells)
 
         def _never(task):  # noqa: ARG001 - executor must not be reached
             raise AssertionError("warm run must not execute cells")
@@ -87,7 +87,7 @@ class TestSchedulerRun:
         warm_cells = [
             _cell("a", execute=_never), _cell("b", deps="a", execute=_never)
         ]
-        sched = SweepScheduler("synthetic", store)
+        sched = Sweep("synthetic", store)
         results = sched.run(warm_cells)
         assert sched.report.all_hits
         assert sched.report.computed == 0
@@ -95,7 +95,7 @@ class TestSchedulerRun:
 
     def test_none_result_is_rejected(self, tmp_path):
         store = ResultStore(tmp_path / "st")
-        sched = SweepScheduler("synthetic", store)
+        sched = Sweep("synthetic", store)
         with pytest.raises(SchedulerError, match="None"):
             sched.run([_cell("a", execute=_return_none)])
 
@@ -107,14 +107,13 @@ class TestSchedulerRun:
             _cell("c", execute=_crash_on_c),
         ]
         with pytest.raises(RuntimeError, match="injected"):
-            SweepScheduler("synthetic", store).run(cells)
+            Sweep("synthetic", store).run(cells)
         # a and b landed before the crash; c did not.
         assert store.get("a" * 40) == "aa"
         assert store.get("b" * 40) == "bb"
         assert store.get("c" * 40) is None
 
-        resumed = SweepScheduler("synthetic", ResultStore(tmp_path / "st"),
-                                 resume=True)
+        resumed = Sweep("synthetic", ResultStore(tmp_path / "st"), resume=True)
         results = resumed.run([_cell("a"), _cell("b"), _cell("c")])
         assert results["c" * 40] == "cc"
         assert resumed.report.hits == 2
@@ -125,8 +124,8 @@ class TestSchedulerRun:
         serial_store = ResultStore(tmp_path / "s1")
         parallel_store = ResultStore(tmp_path / "s2")
         cells = [_cell(ch) for ch in "abcd"]
-        serial = SweepScheduler("synthetic", serial_store).run(cells, jobs=1)
-        par = SweepScheduler("synthetic", parallel_store).run(cells, jobs=2)
+        serial = Sweep("synthetic", serial_store).run(cells, jobs=1)
+        par = Sweep("synthetic", parallel_store).run(cells, jobs=2)
         assert serial == par
 
 
@@ -137,7 +136,7 @@ def _return_none(task):  # noqa: ARG001
 class TestSweepJournal:
     def test_journal_records_sweep_lifecycle(self, tmp_path):
         store = ResultStore(tmp_path / "st")
-        sched = SweepScheduler("synthetic", store)
+        sched = Sweep("synthetic", store)
         sched.run([_cell("a"), _cell("b")])
         (journal,) = store.sweeps_dir.glob("synthetic-*.jsonl")
         ops = [
@@ -151,8 +150,8 @@ class TestSweepJournal:
     def test_resume_ignores_completed_sweeps(self, tmp_path):
         """A finished journal is not 'resumed'; it is restarted."""
         store = ResultStore(tmp_path / "st")
-        SweepScheduler("synthetic", store).run([_cell("a")])
-        sched = SweepScheduler("synthetic", store, resume=True)
+        Sweep("synthetic", store).run([_cell("a")])
+        sched = Sweep("synthetic", store, resume=True)
         sched.run([_cell("a")])
         assert sched.report.resumed == 0
         assert sched.report.hits == 1
@@ -160,10 +159,10 @@ class TestSweepJournal:
     def test_deleting_the_journal_does_not_break_resume(self, tmp_path):
         """The store is the source of truth; the journal is advisory."""
         store = ResultStore(tmp_path / "st")
-        SweepScheduler("synthetic", store).run([_cell("a"), _cell("b")])
+        Sweep("synthetic", store).run([_cell("a"), _cell("b")])
         for journal in store.sweeps_dir.glob("*.jsonl"):
             journal.unlink()
-        sched = SweepScheduler("synthetic", store, resume=True)
+        sched = Sweep("synthetic", store, resume=True)
         sched.run([_cell("a"), _cell("b")])
         assert sched.report.all_hits
 
@@ -208,3 +207,23 @@ class TestSweepFrontDoor:
         assert sweep.report.total == 3
         assert sweep.report.hits == 1
         assert sweep.report.computed == 2
+
+
+class TestNullStore:
+    def test_storeless_sweep_computes_every_cell(self):
+        sweep = Sweep("synthetic")
+        assert isinstance(sweep.store, NullStore)
+        results = sweep.run([_cell("a"), _cell("b", deps="a")])
+        assert results == {"a" * 40: "aa", "b" * 40: "bb"}
+        again = sweep.run([_cell("a")])
+        assert again == {"a" * 40: "aa"}
+        assert sweep.report.hits == 0
+        assert sweep.report.computed == sweep.report.total == 3
+
+    def test_none_result_is_still_rejected(self):
+        with pytest.raises(SchedulerError, match="None"):
+            Sweep("synthetic").run([_cell("a", execute=_return_none)])
+
+    def test_fabric_needs_a_real_store(self):
+        with pytest.raises(SchedulerError, match="store"):
+            Sweep("synthetic", fabric="127.0.0.1:1")
